@@ -251,6 +251,19 @@ void auditReplicaHolders(std::span<const std::uint64_t> holders,
   detail::passAudit();
 }
 
+void auditCopyPhysical(std::uint64_t holder, std::size_t cached,
+                       std::size_t resolved) {
+  detail::beginAudit();
+  if (cached != resolved) {
+    detail::failAudit("auditCopyPhysical",
+                      "copy at ring position " + std::to_string(holder) +
+                          " caches physical peer " + std::to_string(cached) +
+                          " but the ring resolves it to " +
+                          std::to_string(resolved));
+  }
+  detail::passAudit();
+}
+
 void auditRingOrder(std::span<const std::uint64_t> ringPositions) {
   detail::beginAudit();
   for (std::size_t i = 1; i < ringPositions.size(); ++i) {

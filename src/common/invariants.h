@@ -162,6 +162,12 @@ void auditRecordPlacement(const Rect& region, const Records& records,
 void auditReplicaHolders(std::span<const std::uint64_t> holders,
                          std::size_t replication);
 
+// A copy target caches its holder's physical-peer index (resolved once
+// per copy-set install); the cache must equal the network's current
+// resolution of the holder's ring position `holder`.  O(1).
+void auditCopyPhysical(std::uint64_t holder, std::size_t cached,
+                       std::size_t resolved);
+
 // --- Network layer: ring soundness ---------------------------------------
 //
 // Ring positions must be strictly increasing (sorted, duplicate-free):

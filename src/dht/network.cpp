@@ -124,7 +124,9 @@ std::size_t Network::livePhysicalCount() const {
 
 std::size_t Network::physicalOf(RingId vnode) const {
   const auto it = vnodeToPhysical_.find(vnode);
-  assert(it != vnodeToPhysical_.end());
+  MLIGHT_CHECK(it != vnodeToPhysical_.end(),
+               "physicalOf: ring position " + std::to_string(vnode.value) +
+                   " is not on the ring");
   return it->second;
 }
 

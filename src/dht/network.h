@@ -138,7 +138,9 @@ class Network {
   const std::vector<RingId>& peers() const noexcept { return peers_; }
 
   /// Index of the physical peer owning ring position `vnode` (which must
-  /// be a live position).  Stable across churn of *other* peers.
+  /// be a live position — a departed one throws CheckFailure).  Stable
+  /// across churn of *other* peers; a peer that rejoins under its old
+  /// name gets a fresh index.
   std::size_t physicalOf(RingId vnode) const;
 
   /// Name of the physical peer owning ring position `vnode` (which must

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -109,10 +110,17 @@ class DistributedStore {
   /// it was placed under.  Tracking the salt matters because salts that
   /// collide on an already-chosen peer are *skipped*, so holder index
   /// and salt index need not coincide — replica envelopes must target
-  /// the salt, not the index, to actually reach the holder.
+  /// the salt, not the index, to actually reach the holder.  `physical`
+  /// is the holder's physical-peer index, resolved once by copyTargets()
+  /// so per-operation load lookups read the peer-load meter directly.
+  /// Every copy set is installed by copyTargets() (a crash under
+  /// kOnRead only prunes one, leaving survivors' indexes valid), and a
+  /// join re-installs every entry's set, so the cached index cannot
+  /// outlive a rejoin that renumbers the peer.
   struct CopyTarget {
     RingId holder;
-    std::size_t salt = 0;
+    std::uint32_t salt = 0;
+    std::uint32_t physical = 0;
   };
 
   /// `ns` namespaces this index's keys inside the shared DHT key space
@@ -166,7 +174,6 @@ class DistributedStore {
         pendingDemotions_.end());
     for (const Label& label : pendingDemotions_) {
       if (boost_.erase(label) == 0) continue;
-      frozenReadSalt_.erase(label);
       auto it = entries_.find(label);
       if (it == entries_.end()) continue;
       // Shedding copies is free: the enlarged set simply stops being
@@ -185,7 +192,7 @@ class DistributedStore {
       if (boost_.find(label) != boost_.end()) continue;
       auto it = entries_.find(label);
       if (it == entries_.end()) continue;
-      boost_.emplace(label, loadBalance_.boostCopies);
+      boost_.emplace(label, Boost{loadBalance_.boostCopies, std::nullopt});
       // Ship the bucket to the new holders from the primary — the same
       // metered repair primitive crash recovery uses.
       ensureReplicated(label, it->second, it->second.copies[0].holder);
@@ -200,14 +207,21 @@ class DistributedStore {
   /// the copy-target walk).  Handlers issuing reads mid-operation
   /// consult only this frozen table — never the live counters — so the
   /// routing decision is identical under any same-time delivery order.
+  /// Runs before every index operation, so it updates the routes in
+  /// place: one pass over the boosted labels reading each copy's cached
+  /// physical index, no allocation.
   void refreshReadRouting() {
-    if (!loadBalance_.enabled) return;
-    frozenReadSalt_.clear();
-    for (const auto& [label, extra] : boost_) {
+    if (!loadBalance_.enabled || boost_.empty()) return;
+    const bool paranoid =
+        mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
+    for (auto& [label, b] : boost_) {
       const auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
-      frozenReadSalt_.emplace(label,
-                              pickLeastLoadedSalt(it->second.copies));
+      if (it == entries_.end()) {
+        b.frozenSalt.reset();
+        continue;
+      }
+      if (paranoid) auditCopyPhysicals(it->second.copies);
+      b.frozenSalt = pickLeastLoadedSalt(it->second.copies);
     }
   }
 
@@ -227,8 +241,8 @@ class DistributedStore {
     if (it == entries_.end()) return out;
     const auto& loads = net_->peerLoads();
     for (const CopyTarget& t : it->second.copies) {
-      out.salts.push_back(static_cast<std::uint32_t>(t.salt));
-      const std::uint64_t load = loads.countOf(net_->physicalOf(t.holder));
+      out.salts.push_back(t.salt);
+      const std::uint64_t load = loads.countOf(t.physical);
       out.loads.push_back(static_cast<std::uint32_t>(
           std::min<std::uint64_t>(load, 0xFFFFFFFFu)));
     }
@@ -239,6 +253,13 @@ class DistributedStore {
   std::size_t boostedLeafCount() const noexcept { return boost_.size(); }
   bool isBoosted(const Label& label) const {
     return boost_.find(label) != boost_.end();
+  }
+  /// Salt of `label`'s frozen read route as of the last
+  /// refreshReadRouting(); empty when the label is not boosted or no
+  /// refresh has seen its entry since promotion — test accessor.
+  std::optional<std::size_t> frozenReadSalt(const Label& label) const {
+    const auto it = boost_.find(label);
+    return it == boost_.end() ? std::nullopt : it->second.frozenSalt;
   }
   /// Monotone promotion/demotion event counters.
   std::uint64_t hotPromotions() const noexcept { return hotPromotions_; }
@@ -312,7 +333,11 @@ class DistributedStore {
     // here means placement, replica fan-out, crash repair, and read
     // failover all maintain the enlarged set without knowing about it.
     const std::size_t want = replication_ + boostOf(label);
-    std::vector<CopyTarget> targets{CopyTarget{ownerOf(label), 0}};
+    const auto target = [this](RingId holder, std::size_t salt) {
+      return CopyTarget{holder, static_cast<std::uint32_t>(salt),
+                        static_cast<std::uint32_t>(net_->physicalOf(holder))};
+    };
+    std::vector<CopyTarget> targets{target(ownerOf(label), 0)};
     std::size_t salt = 1;
     // On tiny overlays there may be fewer peers than copies; stop after
     // a bounded number of attempts rather than spinning.
@@ -324,7 +349,7 @@ class DistributedStore {
                        [&](const CopyTarget& t) {
                          return t.holder == candidate;
                        }) != targets.end();
-      if (!taken) targets.push_back(CopyTarget{candidate, salt});
+      if (!taken) targets.push_back(target(candidate, salt));
       ++salt;
       ++attempts;
     }
@@ -356,6 +381,7 @@ class DistributedStore {
       positions.reserve(targets.size());
       for (const CopyTarget& t : targets) positions.push_back(t.holder.value);
       mlight::common::auditReplicaHolders(positions, want);
+      auditCopyPhysicals(targets);
     }
     return targets;
   }
@@ -708,6 +734,14 @@ class DistributedStore {
     return ringKeyCache_.size();
   }
 
+  /// Copy set currently installed for `label` (empty if absent) — test
+  /// accessor; holdersOf() below is its holder projection.
+  std::vector<CopyTarget> installedCopies(const Label& label) const {
+    const auto it = entries_.find(label);
+    return it == entries_.end() ? std::vector<CopyTarget>{}
+                                : it->second.copies;
+  }
+
   /// Current holder set recorded for `label` (empty if absent) — test
   /// and audit accessor.
   std::vector<RingId> holdersOf(const Label& label) const {
@@ -785,9 +819,9 @@ class DistributedStore {
     // feed through a sorted+deduped copy (exactly the view the drain
     // will consume).
     d.feed(boost_.size());
-    for (const auto& [label, extra] : boost_) {
+    for (const auto& [label, b] : boost_) {
       d.feed(label);
-      d.feed(extra);
+      d.feed(b.extra);
     }
     d.feed(heat_.size());
     for (const auto& [label, h] : heat_) {
@@ -795,10 +829,15 @@ class DistributedStore {
       d.feed(h.startMs);
       d.feed(h.reads);
     }
-    d.feed(frozenReadSalt_.size());
-    for (const auto& [label, salt] : frozenReadSalt_) {
+    // The frozen routes feed as the sorted (label, salt) table they
+    // form, skipping boosted labels that have no route yet.
+    d.feed(static_cast<std::size_t>(std::count_if(
+        boost_.begin(), boost_.end(),
+        [](const auto& e) { return e.second.frozenSalt.has_value(); })));
+    for (const auto& [label, b] : boost_) {
+      if (!b.frozenSalt) continue;
       d.feed(label);
-      d.feed(salt);
+      d.feed(*b.frozenSalt);
     }
     const auto feedPendingSorted = [&d](std::vector<Label> pending) {
       std::sort(pending.begin(), pending.end());
@@ -842,16 +881,16 @@ class DistributedStore {
   std::size_t boostOf(const Label& label) const {
     if (boost_.empty()) return 0;
     const auto it = boost_.find(label);
-    return it == boost_.end() ? 0 : it->second;
+    return it == boost_.end() ? 0 : it->second.extra;
   }
 
   /// The frozen read route for `label` (see refreshReadRouting): 0 —
   /// the primary — unless a refresh chose a less-loaded copy.  Safe to
   /// call from RPC handlers: the table is only written at quiescence.
   std::size_t frozenSaltFor(const Label& label) const {
-    if (frozenReadSalt_.empty()) return 0;
-    const auto it = frozenReadSalt_.find(label);
-    return it == frozenReadSalt_.end() ? 0 : it->second;
+    if (boost_.empty()) return 0;
+    const auto it = boost_.find(label);
+    return it == boost_.end() ? 0 : it->second.frozenSalt.value_or(0);
   }
 
   /// Least-loaded copy by the peer-load meter; ties break toward the
@@ -863,13 +902,22 @@ class DistributedStore {
     std::uint64_t bestLoad = ~std::uint64_t{0};
     const auto& loads = net_->peerLoads();
     for (const CopyTarget& t : copies) {
-      const std::uint64_t load = loads.countOf(net_->physicalOf(t.holder));
+      const std::uint64_t load = loads.countOf(t.physical);
       if (load < bestLoad) {
         bestLoad = load;
         bestSalt = t.salt;
       }
     }
     return bestSalt;
+  }
+
+  /// Coherence of the cached physical-peer indexes: each copy's
+  /// `physical` must still be what the network resolves its holder to.
+  void auditCopyPhysicals(const std::vector<CopyTarget>& copies) const {
+    for (const CopyTarget& t : copies) {
+      mlight::common::auditCopyPhysical(t.holder.value, t.physical,
+                                        net_->physicalOf(t.holder));
+    }
   }
 
   /// Owner-side heat accounting, called from the read-serving handler.
@@ -1160,12 +1208,15 @@ class DistributedStore {
   /// Ordered maps on purpose: digestState and drain/refresh walk them,
   /// and sorted iteration keeps those walks schedule-independent.
   std::map<Label, HeatWindow> heat_;
-  /// label -> extra copies currently granted (promotion installs,
-  /// demotion erases).
-  std::map<Label, std::size_t> boost_;
-  /// label -> salt of the least-loaded copy, frozen at the last
-  /// refreshReadRouting() (read-only between quiescent points).
-  std::map<Label, std::size_t> frozenReadSalt_;
+  /// A boosted label: the extra copies granted, and the salt of its
+  /// least-loaded copy frozen at the last refreshReadRouting() (read-only
+  /// between quiescent points; empty until a refresh sees the entry).
+  struct Boost {
+    std::size_t extra = 0;
+    std::optional<std::size_t> frozenSalt;
+  };
+  /// Promotion installs, demotion erases.
+  std::map<Label, Boost> boost_;
   /// Decisions queued by noteHeat (handler context), applied by
   /// drainLoadBalance (quiescence) in sorted order.
   std::vector<Label> pendingPromotions_;

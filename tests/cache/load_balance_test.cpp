@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,10 @@ using dht::Network;
 /// determinism matrix below actually stresses the deferred
 /// promotion/demotion machinery.
 LatencyModel lanModel() { return LatencyModel{2.0, 2.0, 1.0}; }
+
+/// Heat window short enough that a key read once per window is demoted
+/// within one test run (simulated milliseconds).
+constexpr double kWindowMs = 2000.0;
 
 core::MLightConfig balancedConfig() {
   core::MLightConfig cfg;
@@ -229,6 +234,144 @@ TEST(LoadBalance, DigestStableAcrossShuffleSeedsAndShards) {
       EXPECT_EQ(base.boosted, run.boosted) << label;
       EXPECT_EQ(base.ok, run.ok) << label;
     }
+  }
+}
+
+/// From-scratch least-loaded copy of one installed copy set: loads read
+/// through a fresh network resolution of each holder (never the copy's
+/// cached physical index), strict `<` so the lowest replica index wins
+/// ties — the rule refreshReadRouting() must reproduce.
+using CopyTarget = store::DistributedStore<core::LeafBucket>::CopyTarget;
+
+std::size_t argminSalt(const Network& net,
+                       const std::vector<CopyTarget>& copies) {
+  std::size_t bestSalt = 0;
+  std::uint64_t bestLoad = ~std::uint64_t{0};
+  for (const auto& t : copies) {
+    const std::uint64_t load = net.peerLoads().countOf(net.physicalOf(t.holder));
+    if (load < bestLoad) {
+      bestLoad = load;
+      bestSalt = t.salt;
+    }
+  }
+  return bestSalt;
+}
+
+/// The route every boosted, stored label must get from the next
+/// operation's refresh, computed at the quiescent point before it.
+std::map<common::BitString, std::size_t> expectedRoutes(
+    const core::MLightIndex& index, const Network& net) {
+  std::map<common::BitString, std::size_t> out;
+  index.store().forEach([&](const common::BitString& label, const auto&,
+                            dht::RingId) {
+    if (!index.store().isBoosted(label)) return;
+    out.emplace(label,
+                argminSalt(net, index.store().installedCopies(label)));
+  });
+  return out;
+}
+
+/// Runs one point query and checks that the frozen route it installed
+/// for every label boosted before it matches the from-scratch argmin.
+/// Labels demoted by the query's own drain have no route left to check.
+/// Returns how many routes were compared.
+std::size_t queryAndCheckRoutes(core::MLightIndex& index, const Network& net,
+                                const common::Point& key,
+                                const std::string& when) {
+  const auto expected = expectedRoutes(index, net);
+  EXPECT_TRUE(queryOk(index, key)) << when;
+  std::size_t compared = 0;
+  for (const auto& [label, salt] : expected) {
+    if (!index.store().isBoosted(label)) continue;
+    const auto frozen = index.store().frozenReadSalt(label);
+    EXPECT_TRUE(frozen.has_value()) << when;
+    if (!frozen) continue;
+    EXPECT_EQ(*frozen, salt) << when;
+    ++compared;
+  }
+  return compared;
+}
+
+// The frozen route table is refreshed in place from each copy's cached
+// physical-peer index.  Across promotion, a crash of a copy-holder under
+// both repair policies, the holder's rejoin under its old name (which
+// renumbers its physical peer) and the hot leaf's demotion, every route
+// must equal the argmin computed from scratch through the network.
+TEST(LoadBalance, FrozenRoutesMatchFromScratchArgmin) {
+  for (const store::RepairPolicy policy :
+       {store::RepairPolicy::kEager, store::RepairPolicy::kOnRead}) {
+    const std::string name =
+        policy == store::RepairPolicy::kEager ? "eager" : "on-read";
+    Network net(32, 5);
+    core::MLightConfig cfg = balancedConfig();
+    cfg.replication = 2;
+    cfg.repair = policy;
+    cfg.loadBalance.windowMs = kWindowMs;
+    core::MLightIndex index(net, cfg);
+    const auto data = workload::northeastDataset(300, 9);
+    for (const auto& r : data) index.insert(r);
+    const common::Point hot = data[0].key;
+
+    // Each phase must compare some routes, or it proves nothing.
+    std::size_t compared = 0;
+    const auto hammer = [&](std::size_t n, const std::string& phase) {
+      compared = 0;
+      for (std::size_t q = 0; q < n; ++q) {
+        compared += queryAndCheckRoutes(index, net, hot, name + " " + phase);
+      }
+      EXPECT_GT(compared, 0u) << name << " " << phase;
+    };
+
+    // Promote: hammer one key until its leaf is boosted.
+    hammer(40, "promote");
+    ASSERT_GE(index.store().hotPromotions(), 1u) << name;
+    common::BitString hotLeaf;
+    index.store().forEach([&](const common::BitString& label,
+                              const core::LeafBucket& bucket, dht::RingId) {
+      for (const auto& r : bucket.records) {
+        if (r.key == hot) hotLeaf = label;
+      }
+    });
+    ASSERT_TRUE(index.store().isBoosted(hotLeaf)) << name;
+
+    // Crash a non-primary holder of the hot leaf, keep reading, then
+    // bring the peer back under its old name.
+    const auto copies = index.store().installedCopies(hotLeaf);
+    ASSERT_GE(copies.size(), 2u) << name;
+    const dht::RingId victim = copies[1].holder;
+    const std::string victimName = net.physicalNameOf(victim);
+    const std::size_t oldPhysical = net.physicalOf(victim);
+    ASSERT_TRUE(net.crashPeer(victim)) << name;
+    hammer(10, "crashed");
+    net.addPeer(victimName);
+    ASSERT_NE(net.physicalOf(victim), oldPhysical) << name;
+    const auto rejoinedCopies = index.store().installedCopies(hotLeaf);
+    const auto victimCopy =
+        std::find_if(rejoinedCopies.begin(), rejoinedCopies.end(),
+                     [&](const CopyTarget& t) { return t.holder == victim; });
+    ASSERT_NE(victimCopy, rejoinedCopies.end())
+        << name << ": the rejoined peer should hold a copy again";
+    // Renumbered, the rejoined peer has served nothing yet: it is the
+    // least-loaded copy, which a route read through its old physical
+    // index would miss.
+    hammer(1, "rejoined");
+    EXPECT_EQ(index.store().frozenReadSalt(hotLeaf), victimCopy->salt)
+        << name;
+    hammer(10, "rejoined");
+
+    // Demote: the hot key goes quiet (one read per window) while the
+    // rest of the key set keeps the clock moving.
+    compared = 0;
+    for (std::size_t q = 0; q < 400 && index.store().isBoosted(hotLeaf); ++q) {
+      const common::Point& key =
+          q % 20 == 0 ? hot : data[1 + (q * 7) % (data.size() - 1)].key;
+      compared += queryAndCheckRoutes(index, net, key, name + " cooling");
+    }
+    EXPECT_FALSE(index.store().isBoosted(hotLeaf)) << name;
+    EXPECT_GE(index.store().hotDemotions(), 1u) << name;
+    EXPECT_FALSE(index.store().frozenReadSalt(hotLeaf).has_value()) << name;
+    EXPECT_GT(compared, 0u) << name << " cooling";
+    index.checkInvariants();
   }
 }
 

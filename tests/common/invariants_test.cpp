@@ -212,6 +212,13 @@ TEST_F(InvariantsTest, ReplicaHoldersDetectsOverReplication) {
   EXPECT_THROW(auditReplicaHolders(empty, 2), AuditFailure);
 }
 
+TEST_F(InvariantsTest, CopyPhysicalDetectsStaleCachedPeerIndex) {
+  EXPECT_NO_THROW(auditCopyPhysical(42, 3, 3));
+  // A rejoined peer is renumbered: a copy still caching the old index
+  // would read the departed peer's load counter.
+  EXPECT_THROW(auditCopyPhysical(42, 3, 7), AuditFailure);
+}
+
 // --- auditRingOrder ------------------------------------------------------
 
 TEST_F(InvariantsTest, RingOrderDetectsDisorderAndDuplicates) {

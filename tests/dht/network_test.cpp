@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace mlight::dht {
@@ -185,6 +186,17 @@ TEST(Network, RemoveUnknownOrLastPeerFails) {
   EXPECT_FALSE(net.removePeer(RingId{999999}));
   EXPECT_TRUE(net.removePeer(net.peers()[0]));
   EXPECT_FALSE(net.removePeer(net.peers()[0]));  // last one
+}
+
+TEST(Network, PhysicalOfDepartedVnodeThrows) {
+  // A ring position that left the overlay has no physical peer; the
+  // lookup must fail loudly in every build type, not read past the map.
+  Network net(4);
+  const RingId victim = net.peers()[1];
+  EXPECT_LT(net.physicalOf(victim), net.physicalCount());
+  ASSERT_TRUE(net.crashPeer(victim));
+  EXPECT_THROW(net.physicalOf(victim), mlight::common::CheckFailure);
+  EXPECT_THROW(net.physicalNameOf(victim), mlight::common::CheckFailure);
 }
 
 TEST(Network, RebalanceCallbackFiresOnMembershipChange) {
