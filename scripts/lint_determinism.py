@@ -6,11 +6,12 @@ all assume that no simulation-visible state leaks in from sources the
 seeds don't control.  clang-tidy has no checks for these project rules,
 so this is a purpose-built lexical lint over ``src/``:
 
-  DET-A  iteration over ``std::unordered_map``/``unordered_set``
-         variables.  Hash-table iteration order is
-         implementation-defined; anything it feeds (serde, digests,
-         fan-out, metrics, logs) silently depends on it.  Walk a sorted
-         snapshot instead (``common::sortedKeys``).
+  DET-A  iteration over ``std::unordered_map``/``unordered_set`` and
+         ``common::FlatLabelMap`` variables.  Hash-table iteration order
+         is implementation-defined (for the flat table: slot order,
+         i.e. hash values plus insert/erase history); anything it feeds
+         (serde, digests, fan-out, metrics, logs) silently depends on
+         it.  Walk a sorted snapshot instead (``common::sortedKeys``).
   DET-B  wall-clock / ambient randomness primitives
          (``std::chrono::*_clock``, ``time()``, ``rand()``,
          ``std::random_device``, ``std::mt19937``, ...).  Simulated time
@@ -76,7 +77,7 @@ CLOCK_ALLOWLIST = (
 DET_ALLOW_RE = re.compile(r"//\s*DET-ALLOW\((?P<reason>[^)]*)\)")
 
 UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<"
+    r"\b(?:unordered_(?:map|set|multimap|multiset)|FlatLabelMap)\s*<"
 )
 # Identifier that terminates a (possibly multi-line) declaration whose
 # type mentioned an unordered container: "> name;", "> name = ...",

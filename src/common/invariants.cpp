@@ -264,6 +264,40 @@ void auditCopyPhysical(std::uint64_t holder, std::size_t cached,
   detail::passAudit();
 }
 
+void auditTableResolution(const BitString& label, const void* hashed,
+                          const void* scanned) {
+  detail::beginAudit();
+  if (hashed != scanned) {
+    detail::failAudit(
+        "auditTableResolution",
+        "label " + label.toString() + (hashed == nullptr
+                                           ? " is stored but the hashed "
+                                             "lookup misses it"
+                                           : scanned == nullptr
+                                                 ? " is absent but the hashed "
+                                                   "lookup found an entry"
+                                                 : " resolves to a different "
+                                                   "entry than the scan"));
+  }
+  detail::passAudit();
+}
+
+void auditRouteMemo(std::uint64_t from, std::uint64_t owner,
+                    std::size_t memoHops, double memoMs,
+                    std::size_t freshHops, double freshMs) {
+  detail::beginAudit();
+  if (memoHops != freshHops || memoMs != freshMs) {
+    detail::failAudit(
+        "auditRouteMemo",
+        "route " + std::to_string(from) + " -> " + std::to_string(owner) +
+            " memoized as " + std::to_string(memoHops) + " hops / " +
+            std::to_string(memoMs) + " ms but the ring routes it in " +
+            std::to_string(freshHops) + " hops / " +
+            std::to_string(freshMs) + " ms");
+  }
+  detail::passAudit();
+}
+
 void auditRingOrder(std::span<const std::uint64_t> ringPositions) {
   detail::beginAudit();
   for (std::size_t i = 1; i < ringPositions.size(); ++i) {

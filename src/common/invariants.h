@@ -168,11 +168,30 @@ void auditReplicaHolders(std::span<const std::uint64_t> holders,
 void auditCopyPhysical(std::uint64_t holder, std::size_t cached,
                        std::size_t resolved);
 
+// A hashed owner-side table lookup must resolve `label` to the same
+// entry (or the same absence) as a hash-free scan of the table: a flat
+// table whose probe sequence lost a key (a broken backward shift, a
+// stale slot hash after rehash) would answer an authoritative NULL for
+// a stored bucket.  Pointers are compared for identity only.  O(1).
+void auditTableResolution(const BitString& label, const void* hashed,
+                          const void* scanned);
+
 // --- Network layer: ring soundness ---------------------------------------
 //
 // Ring positions must be strictly increasing (sorted, duplicate-free):
 // the predecessor mapping and finger construction assume it.  O(n).
 void auditRingOrder(std::span<const std::uint64_t> ringPositions);
+
+// --- Network layer: route memo -------------------------------------------
+//
+// A memoized route {hops, ms} for the pair (from, owner) must equal the
+// route the greedy finger walk computes on the current ring — the memo
+// is dropped on every finger rebuild, so a hit that disagrees means it
+// survived a membership change.  Doubles compare bit-exactly (the memo
+// replays, it does not approximate).  O(1).
+void auditRouteMemo(std::uint64_t from, std::uint64_t owner,
+                    std::size_t memoHops, double memoMs,
+                    std::size_t freshHops, double freshMs);
 
 // --- Lookup cache: hint coherence ----------------------------------------
 //

@@ -11,10 +11,105 @@ constexpr std::uint32_t rotl(std::uint32_t v, int s) noexcept {
   return std::rotl(v, s);
 }
 
+std::uint32_t loadBigEndian32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+/// The SHA-1 compression function over one 64-byte block.  The message
+/// schedule rolls through the block's own 16 words (w[t] overwrites
+/// w[t - 16], the only entry no later round reads), so no 80-word array
+/// is zeroed or filled per block.
+void compress(std::array<std::uint32_t, 5>& state,
+              const std::uint8_t* block) noexcept {
+  std::uint32_t w[16];
+  for (std::size_t t = 0; t < 16; ++t) w[t] = loadBigEndian32(block + 4 * t);
+
+  std::uint32_t a = state[0];
+  std::uint32_t b = state[1];
+  std::uint32_t c = state[2];
+  std::uint32_t d = state[3];
+  std::uint32_t e = state[4];
+  const auto schedule = [&w](std::size_t t) noexcept {
+    if (t < 16) return w[t];
+    const std::uint32_t v = rotl(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^
+                                     w[(t + 2) & 15] ^ w[t & 15],
+                                 1);
+    w[t & 15] = v;
+    return v;
+  };
+  const auto round = [&](std::uint32_t f, std::uint32_t k,
+                         std::uint32_t wt) noexcept {
+    const std::uint32_t temp = rotl(a, 5) + f + e + k + wt;
+    e = d;
+    d = c;
+    c = rotl(b, 30);
+    b = a;
+    a = temp;
+  };
+  for (std::size_t t = 0; t < 20; ++t) {
+    round((b & c) | ((~b) & d), 0x5A827999u, schedule(t));
+  }
+  for (std::size_t t = 20; t < 40; ++t) {
+    round(b ^ c ^ d, 0x6ED9EBA1u, schedule(t));
+  }
+  for (std::size_t t = 40; t < 60; ++t) {
+    round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, schedule(t));
+  }
+  for (std::size_t t = 60; t < 80; ++t) {
+    round(b ^ c ^ d, 0xCA62C1D6u, schedule(t));
+  }
+
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+constexpr std::array<std::uint32_t, 5> kInitialState = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+
+/// Largest message that pads into a single block: the 0x80 marker and
+/// the 8-byte bit length must fit after it.
+constexpr std::size_t kOneBlockMax = 64 - 1 - 8;
+
+/// Digest state of a message of at most kOneBlockMax bytes: the message,
+/// its padding and its length assembled in one block, one compression.
+std::array<std::uint32_t, 5> oneBlockState(
+    std::span<const std::uint8_t> data) noexcept {
+  std::array<std::uint8_t, 64> block{};
+  std::memcpy(block.data(), data.data(), data.size());
+  block[data.size()] = 0x80;
+  const std::uint64_t bitLen = data.size() * 8;
+  block[62] = static_cast<std::uint8_t>(bitLen >> 8);
+  block[63] = static_cast<std::uint8_t>(bitLen);
+  std::array<std::uint32_t, 5> state = kInitialState;
+  compress(state, block.data());
+  return state;
+}
+
+Sha1Digest digestOf(const std::array<std::uint32_t, 5>& state) noexcept {
+  Sha1Digest digest{};
+  for (std::size_t i = 0; i < 5; ++i) {
+    digest[4 * i + 0] = static_cast<std::uint8_t>(state[i] >> 24);
+    digest[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    digest[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    digest[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+  return digest;
+}
+
+std::span<const std::uint8_t> bytesOf(std::string_view text) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
 }  // namespace
 
 void Sha1::reset() noexcept {
-  state_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  state_ = kInitialState;
   totalBytes_ = 0;
   bufferLen_ = 0;
 }
@@ -42,10 +137,7 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
   }
 }
 
-void Sha1::update(std::string_view text) noexcept {
-  update(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
+void Sha1::update(std::string_view text) noexcept { update(bytesOf(text)); }
 
 Sha1Digest Sha1::finish() noexcept {
   // Length is latched before padding; update() below keeps adjusting
@@ -63,76 +155,27 @@ Sha1Digest Sha1::finish() noexcept {
         static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
   }
   update(std::span<const std::uint8_t>(pad.data(), padLen + 8));
-
-  Sha1Digest digest{};
-  for (std::size_t i = 0; i < 5; ++i) {
-    digest[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return digest;
+  return digestOf(state_);
 }
 
 void Sha1::processBlock(const std::uint8_t* block) noexcept {
-  std::array<std::uint32_t, 80> w{};
-  for (std::size_t t = 0; t < 16; ++t) {
-    w[t] = (static_cast<std::uint32_t>(block[4 * t]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * t + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * t + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * t + 3]);
-  }
-  for (std::size_t t = 16; t < 80; ++t) {
-    w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
-
-  std::uint32_t a = state_[0];
-  std::uint32_t b = state_[1];
-  std::uint32_t c = state_[2];
-  std::uint32_t d = state_[3];
-  std::uint32_t e = state_[4];
-
-  for (std::size_t t = 0; t < 80; ++t) {
-    std::uint32_t f;
-    std::uint32_t k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + k + w[t];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
+  compress(state_, block);
 }
 
 Sha1Digest sha1(std::span<const std::uint8_t> data) noexcept {
+  if (data.size() <= kOneBlockMax) return digestOf(oneBlockState(data));
   Sha1 h;
   h.update(data);
   return h.finish();
 }
 
-Sha1Digest sha1(std::string_view text) noexcept {
-  Sha1 h;
-  h.update(text);
-  return h.finish();
+Sha1Digest sha1(std::string_view text) noexcept { return sha1(bytesOf(text)); }
+
+std::uint64_t sha1Prefix64(std::string_view text) noexcept {
+  const std::span<const std::uint8_t> data = bytesOf(text);
+  if (data.size() > kOneBlockMax) return digestPrefix64(sha1(data));
+  const std::array<std::uint32_t, 5> state = oneBlockState(data);
+  return (static_cast<std::uint64_t>(state[0]) << 32) | state[1];
 }
 
 std::string toHex(const Sha1Digest& digest) {

@@ -41,7 +41,9 @@ class Sha1 {
   std::size_t bufferLen_ = 0;
 };
 
-/// One-shot digest of a byte span.
+/// One-shot digest of a byte span.  Messages of at most 55 bytes (which
+/// pad into a single block) take a one-compression path that skips the
+/// streaming buffer; longer ones stream.
 Sha1Digest sha1(std::span<const std::uint8_t> data) noexcept;
 
 /// One-shot digest of text.
@@ -53,5 +55,10 @@ std::string toHex(const Sha1Digest& digest);
 /// First 8 bytes of the digest as a big-endian 64-bit integer.  Used to
 /// place keys and nodes on the simulated ring.
 std::uint64_t digestPrefix64(const Sha1Digest& digest) noexcept;
+
+/// digestPrefix64(sha1(text)), reading the prefix straight from the
+/// final state words.  Every DHT key and peer name in the simulator fits
+/// the one-block path.
+std::uint64_t sha1Prefix64(std::string_view text) noexcept;
 
 }  // namespace mlight::common

@@ -25,7 +25,7 @@ struct RingId {
 
 /// Hash of an application key string onto the ring.
 inline RingId keyId(std::string_view key) noexcept {
-  return RingId{mlight::common::digestPrefix64(mlight::common::sha1(key))};
+  return RingId{mlight::common::sha1Prefix64(key)};
 }
 
 /// Clockwise distance from `from` to `to` on the ring (mod 2^64).

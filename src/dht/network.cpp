@@ -47,6 +47,11 @@ std::uint64_t mixShard(std::uint64_t x) noexcept {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
+
+/// Probe start of the route-memo pair (from, owner) before masking.
+std::uint64_t routeMemoHash(std::uint64_t from, std::uint64_t owner) noexcept {
+  return mixShard(from * 0x9E3779B97F4A7C15ull ^ owner);
+}
 }  // namespace
 
 Network::Network(std::size_t peerCount, std::uint64_t seed,
@@ -194,9 +199,51 @@ Network::Path Network::routePath(RingId from, RingId target) const noexcept {
   return Path{hops, ms};
 }
 
+Network::Path Network::memoRoutePath(RingId from, RingId owner) {
+  if (from == owner) return Path{0, 0.0};
+  if (!routeMemo_.empty()) {
+    const std::size_t mask = routeMemo_.size() - 1;
+    for (std::size_t i = routeMemoHash(from.value, owner.value) & mask;;
+         i = (i + 1) & mask) {
+      const RouteMemoSlot& slot = routeMemo_[i];
+      if (slot.hops == 0) break;
+      if (slot.from == from.value && slot.owner == owner.value) {
+        if (mlight::common::auditEnabled(
+                mlight::common::AuditLevel::kParanoid)) {
+          const Path fresh = routePath(from, owner);
+          mlight::common::auditRouteMemo(from.value, owner.value, slot.hops,
+                                         slot.ms, fresh.hops, fresh.ms);
+        }
+        return Path{slot.hops, slot.ms};
+      }
+    }
+  }
+  const Path path = routePath(from, owner);
+  if (routeMemoSize_ >= kRouteMemoCap) return path;
+  if ((routeMemoSize_ + 1) * 2 > routeMemo_.size()) {
+    // Grow (doubling from 64 slots) at half load; re-place every pair.
+    std::vector<RouteMemoSlot> old = std::move(routeMemo_);
+    routeMemo_.assign(old.empty() ? 64 : old.size() * 2, RouteMemoSlot{});
+    for (const RouteMemoSlot& slot : old) {
+      if (slot.hops != 0) placeRouteMemo(slot);
+    }
+  }
+  placeRouteMemo(RouteMemoSlot{from.value, owner.value, path.ms,
+                               static_cast<std::uint32_t>(path.hops)});
+  ++routeMemoSize_;
+  return path;
+}
+
+void Network::placeRouteMemo(const RouteMemoSlot& slot) noexcept {
+  const std::size_t mask = routeMemo_.size() - 1;
+  std::size_t i = routeMemoHash(slot.from, slot.owner) & mask;
+  while (routeMemo_[i].hops != 0) i = (i + 1) & mask;
+  routeMemo_[i] = slot;
+}
+
 RouteResult Network::lookup(RingId initiator, RingId key) {
   const RingId owner = responsible(key);
-  const Path path = routePath(initiator, owner);
+  const Path path = memoRoutePath(initiator, owner);
   maxHops_ = std::max(maxHops_, path.hops);
   total_.lookups += 1;
   total_.hops += path.hops;
@@ -303,7 +350,7 @@ void Network::deliverSlot(std::uint32_t slot) {
       return;
     }
     flight->delivered = true;
-    sched_.cancel(flight->timeoutSeq);
+    sched_.cancel(flight->timeoutEvent);
   }
 
   d.route = route;
@@ -397,7 +444,7 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
 
   // The timeout executes "at" the sender (its shard), like the
   // retransmission it triggers.
-  flight->timeoutSeq = sched_.scheduleOn(
+  flight->timeoutEvent = sched_.scheduleOn(
       shardOfVnode(env.from), departure + rpcTimeoutMs(attempt, route.ms),
       [this, key, env = std::move(env), handler = std::move(handler),
        onFail = std::move(onFail), attempt, flight]() mutable {
@@ -545,6 +592,10 @@ bool Network::crashPeer(RingId id) {
 }
 
 void Network::rebuildFingers() {
+  // Every route may change with the ring: drop the memo (its storage is
+  // kept for the next epoch's pairs).
+  std::fill(routeMemo_.begin(), routeMemo_.end(), RouteMemoSlot{});
+  routeMemoSize_ = 0;
   if (mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries)) {
     // Finger construction and the predecessor mapping both assume the
     // ring is sorted and duplicate-free; audit it at every membership

@@ -166,6 +166,15 @@ class Network {
     return lookup(initiator, keyId(key));
   }
 
+  /// The route of a lookup from `from` to the ring position `owner` as
+  /// the greedy finger walk computes it on the current ring — without
+  /// the route memo and without metering.  The reference the memo is
+  /// audited and tested against.
+  RouteResult uncachedRoute(RingId from, RingId owner) const noexcept {
+    const Path path = routePath(from, owner);
+    return RouteResult{owner, path.hops, path.ms};
+  }
+
   /// Accounts payload moving from `from` to `to` (no cost if same peer).
   void shipPayload(RingId from, RingId to, std::size_t bytes,
                    std::size_t records);
@@ -278,6 +287,11 @@ class Network {
   std::uint64_t simWindowCount() const noexcept { return sched_.windowCount(); }
   std::uint64_t simParallelPreps() const noexcept {
     return sched_.parallelPreps();
+  }
+  /// Event slots the scheduler ever allocated — bounded by the peak
+  /// number of pending events, since run or cancelled events free theirs.
+  std::size_t simSlotCapacity() const noexcept {
+    return sched_.slotCapacity();
   }
 
   /// Marks the start of a measured operation: drains messages still in
@@ -447,13 +461,18 @@ class Network {
     std::size_t hops;
     double ms;
   };
+  /// The greedy finger walk from `from` to `target` on the current ring.
   Path routePath(RingId from, RingId target) const noexcept;
+  /// routePath through the route memo: a hit replays the walk's
+  /// {hops, ms}; a miss walks and memoizes.  At kParanoid every hit is
+  /// re-walked and must agree (auditRouteMemo).
+  Path memoRoutePath(RingId from, RingId owner);
 
   /// Reliable-send bookkeeping shared by one attempt's delivery and
   /// timeout events (fault injection only).
   struct RpcFlight {
     bool delivered = false;
-    std::uint64_t timeoutSeq = 0;
+    std::uint64_t timeoutEvent = 0;
   };
 
   /// In-flight state of one message, parked in a pooled slot so the
@@ -498,6 +517,23 @@ class Network {
   /// cheaper and cache-friendlier than the former RingId-keyed map on
   /// the routePath hot loop.
   std::vector<std::vector<RingId>> fingersByIdx_;
+  /// Route memo: the walk's {hops, ms} per (from, owner) pair, open-
+  /// addressed with linear probing.  A route is a pure function of the
+  /// finger tables and the vnode → physical map, both of which change
+  /// only in rebuildFingers(), which drops the memo.  A DST query's
+  /// fan-out revisits a few hundred pairs thousands of times; the memo
+  /// grows with the pairs seen, up to kRouteMemoCap, after which new
+  /// pairs are walked unmemoized.
+  struct RouteMemoSlot {
+    std::uint64_t from = 0;
+    std::uint64_t owner = 0;
+    double ms = 0.0;
+    std::uint32_t hops = 0;  ///< 0 = empty (from == owner is never stored)
+  };
+  static constexpr std::size_t kRouteMemoCap = std::size_t{1} << 13;
+  void placeRouteMemo(const RouteMemoSlot& slot) noexcept;
+  std::vector<RouteMemoSlot> routeMemo_;
+  std::size_t routeMemoSize_ = 0;
   std::map<RingId, std::size_t> vnodeToPhysical_;   // vnode -> peer index
   std::vector<std::string> physicalNames_;          // by peer index
   /// First (v == 0) vnode of each physical peer, by peer index — the

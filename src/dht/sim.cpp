@@ -62,16 +62,50 @@ std::uint64_t SimScheduler::scheduleOn(std::uint32_t shard, double at, Fn fn,
   const std::uint64_t seq = nextSeq_++;
   const std::uint64_t tie =
       shuffleSeed_ == 0 ? seq : mixTie(shuffleSeed_, seq);
+  std::uint32_t slot;
+  if (freeSlots_.empty()) {
+    MLIGHT_CHECK(slots_.size() < (std::size_t{1} << kSlotBits),
+                 "SimScheduler: too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.prep = std::move(prep);
+  s.seq = seq;
   std::vector<Event>& heap =
       shardHeaps_[shard < shardHeaps_.size() ? shard : 0];
   // Skip the initial capacity ramp (1, 2, 4, ...): even a single RPC
   // schedules a handful of events, and the heap never shrinks, so one
   // up-front block makes steady-state scheduling allocation-free.
   if (heap.capacity() == 0) heap.reserve(64);
-  heap.push_back(Event{std::max(at, clock_.now()), tie, seq, std::move(fn),
-                       std::move(prep)});
+  heap.push_back(Event{std::max(at, clock_.now()), tie, seq, slot});
   std::push_heap(heap.begin(), heap.end(), Later{});
-  return seq;
+  return (seq << kSlotBits) | slot;
+}
+
+void SimScheduler::cancel(std::uint64_t id) {
+  const std::size_t slot = id & ((std::uint64_t{1} << kSlotBits) - 1);
+  if (slot < slots_.size() && slots_[slot].seq == id >> kSlotBits) {
+    freeSlot(static_cast<std::uint32_t>(slot));
+  }
+}
+
+void SimScheduler::freeSlot(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.prep = nullptr;
+  s.seq = kFreeSlot;
+  freeSlots_.push_back(slot);
+}
+
+SimScheduler::Fn SimScheduler::takeHandler(const Event& ev) {
+  Fn fn = std::move(slots_[ev.slot].fn);
+  freeSlot(ev.slot);
+  return fn;
 }
 
 void SimScheduler::setShardCount(std::size_t n) {
@@ -129,17 +163,19 @@ void SimScheduler::drainShardWindow(std::size_t shard) {
   Batch& batch = batches_[shard];
   while (!heap.empty() && heap.front().at < windowEnd_) {
     std::pop_heap(heap.begin(), heap.end(), Later{});
-    Event ev = std::move(heap.back());
+    const Event ev = heap.back();
     heap.pop_back();
-    // Prep runs even for events later discarded as cancelled: the
-    // cancelled set is coordinator state and off-limits here, and prep
-    // stages are pure (wasted work at worst).
-    if (ev.prep) {
-      ev.prep();
-      ev.prep = nullptr;
+    // The slot table is read-only for the coordinator while it waits at
+    // the barrier, and each live event's slot belongs to this shard
+    // alone.  A cancelled record's slot may already serve another
+    // event (possibly another shard's), so its prep must not run here.
+    Slot& slot = slots_[ev.slot];
+    if (slot.seq == ev.seq && slot.prep) {
+      slot.prep();
+      slot.prep = nullptr;
       ++batch.preps;
     }
-    batch.events.push_back(std::move(ev));
+    batch.events.push_back(ev);
   }
 }
 
@@ -178,7 +214,7 @@ void SimScheduler::refillWindow() {
   applyQueue_.clear();
   applyQueueHead_ = 0;
   for (Batch& b : batches_) {
-    for (Event& ev : b.events) applyQueue_.push_back(std::move(ev));
+    applyQueue_.insert(applyQueue_.end(), b.events.begin(), b.events.end());
     b.events.clear();
   }
   std::sort(applyQueue_.begin(), applyQueue_.end(),
@@ -206,17 +242,15 @@ bool SimScheduler::popNext(Event& out) {
     }
     if (best == nullptr) return false;
     if (bestShard == shardHeaps_.size()) {
-      out = std::move(applyQueue_[applyQueueHead_]);
+      out = applyQueue_[applyQueueHead_];
       ++applyQueueHead_;
     } else {
       auto& heap = shardHeaps_[bestShard];
       std::pop_heap(heap.begin(), heap.end(), Later{});
-      out = std::move(heap.back());
+      out = heap.back();
       heap.pop_back();
     }
-    if (!cancelled_.empty() && cancelled_.erase(out.seq) > 0) {
-      continue;  // discarded
-    }
+    if (!live(out)) continue;  // cancelled: discarded
     return true;
   }
 }
@@ -228,25 +262,19 @@ bool SimScheduler::runOne() {
     std::vector<Event>& heap = shardHeaps_[0];
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), Later{});
-      Event ev = std::move(heap.back());
+      const Event ev = heap.back();
       heap.pop_back();
-      // The cancellation set is empty in fault-free runs; skip the
-      // per-event hash probes entirely then (empty() is a size load).
-      if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
-        continue;  // discarded, clock untouched
-      }
+      if (!live(ev)) continue;  // cancelled: discarded, clock untouched
       // A reorderable tie: another live event with the same timestamp is
       // still pending, so the tie-break genuinely chose between the two.
       // (An event scheduled *by* an earlier handler at the same timestamp
       // is causally ordered — it never coexisted with its parent in the
       // heap — and does not count: shuffling cannot reorder causality.)
-      if (!heap.empty() && heap.front().at == ev.at &&
-          (cancelled_.empty() ||
-           cancelled_.find(heap.front().seq) == cancelled_.end())) {
+      if (!heap.empty() && heap.front().at == ev.at && live(heap.front())) {
         ++tieDeliveries_;
       }
       clock_.advanceTo(ev.at);
-      ev.fn();
+      takeHandler(ev)();
       return true;
     }
     return false;
@@ -266,13 +294,11 @@ bool SimScheduler::runOne() {
       next = &heap.front();
     }
   }
-  if (next != nullptr && next->at == ev.at &&
-      (cancelled_.empty() ||
-       cancelled_.find(next->seq) == cancelled_.end())) {
+  if (next != nullptr && next->at == ev.at && live(*next)) {
     ++tieDeliveries_;
   }
   clock_.advanceTo(ev.at);
-  ev.fn();
+  takeHandler(ev)();
   return true;
 }
 

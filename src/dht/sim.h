@@ -61,7 +61,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -148,12 +147,16 @@ class SimScheduler {
   double lookaheadMs() const noexcept { return lookaheadMs_; }
 
   /// Schedules `fn` to run at simulated time `at` (clamped to `now`) on
-  /// shard 0.  Returns the event's sequence number (global issue order).
+  /// shard 0.  Returns the event's id for cancel(): its sequence number
+  /// (global issue order) above the low kSlotBits bits, its closure
+  /// slot in them.
   ///
-  /// Event nodes live in reused vector-backed heaps, so scheduling is
-  /// allocation-free once a heap has grown — *provided the closure
-  /// fits std::function's inline buffer* (two pointers on libstdc++).
-  /// Hot paths keep to that budget by parking their per-event state in
+  /// The heaps order 32-byte {at, tie, seq, slot} records; the closures
+  /// live in a slot table recycled through a free list, so sifting
+  /// never moves a std::function and scheduling is allocation-free once
+  /// the tables have grown — *provided the closure fits
+  /// std::function's inline buffer* (two pointers on libstdc++).  Hot
+  /// paths keep to that budget by parking their per-event state in
   /// pooled slots and capturing only an owner pointer plus a slot index
   /// (see Network's delivery slots); cold paths (fault injection) may
   /// capture freely.
@@ -173,13 +176,14 @@ class SimScheduler {
   /// the clock to its timestamp.  Returns false when the queue is empty.
   bool runOne();
 
-  /// Cancels a still-pending event by its sequence number.  A cancelled
-  /// event is discarded when it surfaces — it neither runs nor advances
-  /// the clock, so cancelling an RPC timeout after an early delivery
-  /// leaves the timeline exactly as if the timeout never existed.
-  /// Precondition: `seq` is pending (the fault layer only cancels
-  /// timeouts it knows have not fired).
-  void cancel(std::uint64_t seq) { cancelled_.insert(seq); }
+  /// Cancels a still-pending event by the id scheduleOn() returned.  Its
+  /// closures are destroyed and its slot freed at once; the heap record
+  /// left behind no longer matches its slot's owner, so it is discarded
+  /// when it surfaces — it neither runs nor advances the clock, and
+  /// cancelling an RPC timeout after an early delivery leaves the
+  /// timeline exactly as if the timeout never existed.  Cancelling an
+  /// event that already ran (or was already cancelled) is a no-op.
+  void cancel(std::uint64_t id);
 
   /// Pumps the queue dry.  Re-entrant: a callback may itself call run()
   /// (the synchronous store facade does) — the inner call drains the
@@ -189,10 +193,12 @@ class SimScheduler {
   void run();
 
   std::size_t pending() const noexcept {
-    std::size_t n = applyQueue_.size() - applyQueueHead_;
-    for (const auto& h : shardHeaps_) n += h.size();
-    return n - cancelled_.size();
+    return slots_.size() - freeSlots_.size();
   }
+
+  /// Closure slots ever allocated (live + free) — the slot table's high
+  /// water mark, bounded by the peak number of pending events.
+  std::size_t slotCapacity() const noexcept { return slots_.size(); }
 
   /// Total events ever scheduled (timeline fingerprint for replay tests).
   std::uint64_t scheduledCount() const noexcept { return nextSeq_; }
@@ -209,16 +215,38 @@ class SimScheduler {
     return n;
   }
 
+  /// Low bits of an event id that carry its slot (see schedule()).
+  static constexpr unsigned kSlotBits = 24;
+
  private:
+  /// Heap record of one scheduled event.  The closures sit in
+  /// slots_[slot]; the record is live while that slot's `seq` is its own.
   struct Event {
     double at = 0.0;
     /// Tie-break key among same-time events: equal to `seq` when the
     /// shuffle is off, a seeded permutation of it when on.
     std::uint64_t tie = 0;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+  static_assert(sizeof(Event) == 32);
+  /// Closure storage of one pending event.  `seq` names the event that
+  /// owns the slot (kFreeSlot while on the free list); a heap record
+  /// whose seq differs was cancelled and its slot possibly reused.
+  struct Slot {
     Fn fn;
     PrepFn prep;
+    std::uint64_t seq = kFreeSlot;
   };
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+
+  bool live(const Event& ev) const noexcept {
+    return slots_[ev.slot].seq == ev.seq;
+  }
+  /// Moves the event's handler out, frees its slot, and returns the
+  /// handler (the slot table may grow while it runs).
+  Fn takeHandler(const Event& ev);
+  void freeSlot(std::uint32_t slot) noexcept;
   /// std::push_heap keeps the *greatest* element on top, so "greater"
   /// here means "fires later": min-(time, tie, seq) ends up at the
   /// front.  `seq` backs up `tie` so the order is total even if the
@@ -260,7 +288,8 @@ class SimScheduler {
 
   SimClock clock_;
   std::vector<std::vector<Event>> shardHeaps_;  // one min-heap per shard
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t shuffleSeed_ = 0;
   std::uint64_t tieDeliveries_ = 0;

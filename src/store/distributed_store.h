@@ -44,6 +44,7 @@
 #include "common/bitstring.h"
 #include "common/check.h"
 #include "common/digest.h"
+#include "common/flat_label_map.h"
 #include "common/invariants.h"
 #include "common/serde.h"
 #include "dht/network.h"
@@ -174,12 +175,12 @@ class DistributedStore {
         pendingDemotions_.end());
     for (const Label& label : pendingDemotions_) {
       if (boost_.erase(label) == 0) continue;
-      auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
+      Entry* entry = entries_.find(label);
+      if (entry == nullptr) continue;
       // Shedding copies is free: the enlarged set simply stops being
       // maintained, and the next installed copy set is the base one.
-      it->second.copies = copyTargets(label);
-      noteCopyHealth(label, it->second.copies);
+      entry->copies = copyTargets(label);
+      noteCopyHealth(label, entry->copies);
       ++hotDemotions_;
     }
     pendingDemotions_.clear();
@@ -190,12 +191,12 @@ class DistributedStore {
     for (const Label& label : pendingPromotions_) {
       if (boost_.size() >= loadBalance_.maxHotLeaves) break;
       if (boost_.find(label) != boost_.end()) continue;
-      auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
+      Entry* entry = entries_.find(label);
+      if (entry == nullptr) continue;
       boost_.emplace(label, Boost{loadBalance_.boostCopies, std::nullopt});
       // Ship the bucket to the new holders from the primary — the same
       // metered repair primitive crash recovery uses.
-      ensureReplicated(label, it->second, it->second.copies[0].holder);
+      ensureReplicated(label, *entry, entry->copies[0].holder);
       ++hotPromotions_;
     }
     pendingPromotions_.clear();
@@ -215,13 +216,13 @@ class DistributedStore {
     const bool paranoid =
         mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
     for (auto& [label, b] : boost_) {
-      const auto it = entries_.find(label);
-      if (it == entries_.end()) {
+      const Entry* entry = entries_.find(label);
+      if (entry == nullptr) {
         b.frozenSalt.reset();
         continue;
       }
-      if (paranoid) auditCopyPhysicals(it->second.copies);
-      b.frozenSalt = pickLeastLoadedSalt(it->second.copies);
+      if (paranoid) auditCopyPhysicals(entry->copies);
+      b.frozenSalt = pickLeastLoadedSalt(entry->copies);
     }
   }
 
@@ -237,10 +238,10 @@ class DistributedStore {
     ReplicaReadInfo out;
     if (!loadBalance_.enabled) return out;
     if (boost_.find(label) == boost_.end()) return out;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return out;
+    const Entry* entry = entries_.find(label);
+    if (entry == nullptr) return out;
     const auto& loads = net_->peerLoads();
-    for (const CopyTarget& t : it->second.copies) {
+    for (const CopyTarget& t : entry->copies) {
       out.salts.push_back(t.salt);
       const std::uint64_t load = loads.countOf(t.physical);
       out.loads.push_back(static_cast<std::uint32_t>(
@@ -296,22 +297,28 @@ class DistributedStore {
   /// naming function is pure, so the label→id mapping is computed once
   /// per (label, salt) and cached (up to kRingKeyCacheCap labels) — the
   /// hot path of every locate probe and forwarding step no longer
-  /// rebuilds strings and rehashes.  Ids for uncached labels are
-  /// computed directly; caching is invisible to the simulation either
-  /// way (the naming function is pure).
+  /// rebuilds strings and rehashes.  The memo is a flat table whose
+  /// slot holds the label's hash64 and whose node holds the label next
+  /// to its salt-0 key; replica salts of the labels that need them sit
+  /// in a shared run table (RingKeyMemo::replicaRun).  Ids for uncached
+  /// labels are computed directly; caching is invisible to the
+  /// simulation either way (the naming function is pure).
   RingId ringKey(const Label& label, std::size_t salt = 0) const {
-    auto cached = ringKeyCache_.find(label);
-    if (cached == ringKeyCache_.end()) {
-      if (ringKeyCache_.size() >= kRingKeyCacheCap) {
+    RingKeyMemo* memo = ringKeyMemo_.find(label);
+    if (memo == nullptr) {
+      if (ringKeyMemo_.size() >= kRingKeyCacheCap) {
         return computeRingKey(label, salt);
       }
-      cached = ringKeyCache_.try_emplace(label).first;
+      memo = ringKeyMemo_
+                 .tryEmplace(label, RingKeyMemo{computeRingKey(label, 0)})
+                 .first;
     }
-    std::vector<RingId>& salts = cached->second;
-    while (salts.size() <= salt) {
-      salts.push_back(computeRingKey(label, salts.size()));
+    if (salt == 0) return memo->primary;
+    std::vector<RingId>& run = replicaRunOf(*memo);
+    while (run.size() < salt) {
+      run.push_back(computeRingKey(label, run.size() + 1));
     }
-    return salts[salt];
+    return run[salt - 1];
   }
 
   /// Peer currently responsible for `label`'s primary key (no cost).
@@ -490,7 +497,7 @@ class DistributedStore {
           // Append-on-apply: the stored image is durably framed at the
           // peer that applied it (the wire bytes just decoded).
           walAppendPlace(d.route.owner, wireLabel, bucketBytes);
-          entries_.insert_or_assign(wireLabel, std::move(entry));
+          entries_.insertOrAssign(wireLabel, std::move(entry));
           net_->releaseBuffer(std::move(bucketBytes));
         });
     net_->shipPayload(source, targets[0].holder, bucketWire.size(),
@@ -640,7 +647,7 @@ class DistributedStore {
     }
     entry.bucket = std::move(bucket);
     mourned_.erase(label);
-    entries_.insert_or_assign(label, std::move(entry));
+    entries_.insertOrAssign(label, std::move(entry));
   }
 
   /// Accounts the cost of propagating an in-place bucket mutation (e.g.
@@ -650,13 +657,13 @@ class DistributedStore {
   void shipToReplicas(RingId source, const Label& label, std::size_t bytes,
                       std::size_t records) {
     if (replication_ <= 1) return;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return;
+    Entry* entry = entries_.find(label);
+    if (entry == nullptr) return;
     // Resolve the replica set on the *current* ring (a cached holder
     // list can be stale across churn); any holder found missing gets
     // the full bucket first, then everyone receives the delta.
-    ensureReplicated(label, it->second, source);
-    const std::vector<CopyTarget>& copies = it->second.copies;
+    ensureReplicated(label, *entry, source);
+    const std::vector<CopyTarget>& copies = entry->copies;
     for (std::size_t i = 1; i < copies.size(); ++i) {
       mlight::common::Writer body(net_->acquireBuffer());
       body.writeBitString(label);
@@ -673,17 +680,17 @@ class DistributedStore {
   /// Removes the bucket under `label`; returns true if one existed.
   bool erase(const Label& label) {
     underReplicatedLabels_.erase(label);
-    return entries_.erase(label) > 0;
+    return entries_.erase(label);
   }
 
   /// Local (unmetered) bucket access for assertions and statistics.
   Bucket* peek(const Label& label) {
-    auto it = entries_.find(label);
-    return it == entries_.end() ? nullptr : &it->second.bucket;
+    Entry* entry = entries_.find(label);
+    return entry == nullptr ? nullptr : &entry->bucket;
   }
   const Bucket* peek(const Label& label) const {
-    auto it = entries_.find(label);
-    return it == entries_.end() ? nullptr : &it->second.bucket;
+    const Entry* entry = entries_.find(label);
+    return entry == nullptr ? nullptr : &entry->bucket;
   }
 
   std::size_t bucketCount() const noexcept { return entries_.size(); }
@@ -731,36 +738,35 @@ class DistributedStore {
   /// the labels ever probed minus those mourned after a crash — the
   /// stats dump watches this for unbounded growth across churn epochs.
   std::size_t ringKeyCacheSize() const noexcept {
-    return ringKeyCache_.size();
+    return ringKeyMemo_.size();
   }
 
   /// Copy set currently installed for `label` (empty if absent) — test
   /// accessor; holdersOf() below is its holder projection.
   std::vector<CopyTarget> installedCopies(const Label& label) const {
-    const auto it = entries_.find(label);
-    return it == entries_.end() ? std::vector<CopyTarget>{}
-                                : it->second.copies;
+    const Entry* entry = entries_.find(label);
+    return entry == nullptr ? std::vector<CopyTarget>{} : entry->copies;
   }
 
   /// Current holder set recorded for `label` (empty if absent) — test
   /// and audit accessor.
   std::vector<RingId> holdersOf(const Label& label) const {
     std::vector<RingId> out;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return out;
-    out.reserve(it->second.copies.size());
-    for (const CopyTarget& t : it->second.copies) out.push_back(t.holder);
+    const Entry* entry = entries_.find(label);
+    if (entry == nullptr) return out;
+    out.reserve(entry->copies.size());
+    for (const CopyTarget& t : entry->copies) out.push_back(t.holder);
     return out;
   }
 
   /// Visits every bucket in ascending label order (a sorted snapshot of
-  /// the unordered map — see the determinism contract in docs/THEORY.md:
+  /// the hash table — see the determinism contract in docs/THEORY.md:
   /// consumers feed logs, stats dumps, and digests, so the visit order
   /// must not leak hash-table layout).
   template <typename Fn>
   void forEach(Fn&& fn) const {
     for (const Label& label : mlight::common::sortedKeys(entries_)) {
-      const Entry& entry = entries_.find(label)->second;
+      const Entry& entry = *entries_.find(label);
       fn(label, entry.bucket, entry.copies[0].holder);
     }
   }
@@ -786,7 +792,7 @@ class DistributedStore {
     d.feed(replication_);
     d.feed(entries_.size());
     for (const Label& label : mlight::common::sortedKeys(entries_)) {
-      const Entry& entry = entries_.find(label)->second;
+      const Entry& entry = *entries_.find(label);
       mlight::common::Writer w;
       w.writeBitString(label);
       entry.bucket.serialize(w);
@@ -874,6 +880,51 @@ class DistributedStore {
       key += std::to_string(salt);
     }
     return mlight::dht::keyId(key);
+  }
+
+  /// ringKey() memo: one node per label, holding its salt-0 key and the
+  /// 1-based index of its replica-salt run (0 = none yet).
+  struct RingKeyMemo {
+    RingId primary;
+    std::uint32_t replicaRun = 0;
+  };
+
+  /// The replica-salt run of a memoized label, claimed (recycled when
+  /// possible) on its first replica salt.
+  std::vector<RingId>& replicaRunOf(RingKeyMemo& memo) const {
+    if (memo.replicaRun == 0) {
+      if (freeReplicaRuns_.empty()) {
+        replicaRuns_.emplace_back();
+        memo.replicaRun = static_cast<std::uint32_t>(replicaRuns_.size());
+      } else {
+        memo.replicaRun = freeReplicaRuns_.back();
+        freeReplicaRuns_.pop_back();
+      }
+    }
+    return replicaRuns_[memo.replicaRun - 1];
+  }
+
+  /// Evicts `label`'s memoized ring keys, recycling its replica run.
+  void forgetRingKeys(const Label& label) {
+    RingKeyMemo* memo = ringKeyMemo_.find(label);
+    if (memo == nullptr) return;
+    if (memo->replicaRun != 0) {
+      replicaRuns_[memo->replicaRun - 1].clear();
+      freeReplicaRuns_.push_back(memo->replicaRun);
+    }
+    ringKeyMemo_.erase(label);
+  }
+
+  /// The owner-side table lookup every get/visit/hint-probe/batch-put
+  /// handler starts with.  At kParanoid each result is re-resolved by a
+  /// hash-free scan of the table, which must find the same entry.
+  Entry* findEntryAtOwner(const Label& label) {
+    Entry* entry = entries_.find(label);
+    if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
+      mlight::common::auditTableResolution(label, entry,
+                                           entries_.findByScan(label));
+    }
+    return entry;
   }
 
   /// Extra copies currently granted to `label` (0 for cold leaves, and
@@ -1055,8 +1106,8 @@ class DistributedStore {
         [this, state](const mlight::dht::RpcDelivery& d) {
           mlight::common::Reader r(d.env.payload);
           const Label wireLabel = r.readBitString();
-          auto it = entries_.find(wireLabel);
-          if (it == entries_.end()) {
+          Entry* found = findEntryAtOwner(wireLabel);
+          if (found == nullptr) {
             if (mourned_.find(wireLabel) != mourned_.end()) {
               // Every copy died with its holders: nobody can answer.
               ++failedReads_;
@@ -1066,7 +1117,7 @@ class DistributedStore {
             state->fn(nullptr, d);
             return;
           }
-          Entry& entry = it->second;
+          Entry& entry = *found;
           if (!holdsCopy(entry, d.route.owner)) {
             // The owner of this salted key holds no copy (a crash moved
             // ownership before repair caught up): fail over to the next
@@ -1123,12 +1174,10 @@ class DistributedStore {
     // Walk a sorted snapshot, not the hash table: the loop feeds metered
     // repair traffic and (under kEager) replica fan-out, and the mourned
     // set below feeds failed-read accounting — none of which may depend
-    // on unordered-map layout (determinism contract, docs/THEORY.md).
+    // on hash-table layout (determinism contract, docs/THEORY.md).
     std::vector<Label> lost;
-    for (const Label& sortedLabel : mlight::common::sortedKeys(entries_)) {
-      auto entryIt = entries_.find(sortedLabel);
-      const Label& label = entryIt->first;
-      Entry& entry = entryIt->second;
+    for (const Label& label : mlight::common::sortedKeys(entries_)) {
+      Entry& entry = *entries_.find(label);
       RingId source = entry.copies[0].holder;
       if (change.kind == Kind::kCrash) {
         // A crash destroys the copies the dead peer held; the bucket
@@ -1179,7 +1228,7 @@ class DistributedStore {
       // A mourned label will never be probed through the cache again
       // (reads fail fast); dropping its memoized ring keys keeps the
       // cache from growing without bound across churn epochs.
-      ringKeyCache_.erase(label);
+      forgetRingKeys(label);
       ++lostBuckets_;
     }
   }
@@ -1223,7 +1272,10 @@ class DistributedStore {
   std::vector<Label> pendingDemotions_;
   std::uint64_t hotPromotions_ = 0;
   std::uint64_t hotDemotions_ = 0;
-  std::unordered_map<Label, Entry, mlight::common::BitStringHash> entries_;
+  /// Owner-side bucket table.  Entry addresses are stable across inserts
+  /// (FlatLabelMap nodes never move): handlers hold a Bucket* while they
+  /// place new buckets.
+  mlight::common::FlatLabelMap<Entry> entries_;
   /// Labels currently stored with fewer than `replication` copies — see
   /// underReplicatedBuckets() / noteCopyHealth().
   std::unordered_set<Label, mlight::common::BitStringHash>
@@ -1232,9 +1284,11 @@ class DistributedStore {
   /// (counted) instead of answering an authoritative NULL.  A later
   /// re-place of the label clears the mourning.
   std::unordered_set<Label, mlight::common::BitStringHash> mourned_;
-  mutable std::unordered_map<Label, std::vector<RingId>,
-                             mlight::common::BitStringHash>
-      ringKeyCache_;
+  mutable mlight::common::FlatLabelMap<RingKeyMemo> ringKeyMemo_;
+  /// Replica-salt runs: replicaRuns_[i][s - 1] is the key of salt s for
+  /// the label whose memo names run i + 1.  Freed runs are recycled.
+  mutable std::vector<std::vector<RingId>> replicaRuns_;
+  mutable std::vector<std::uint32_t> freeReplicaRuns_;
   /// Scratch for computeRingKey() — reused so uncached key derivations
   /// allocate nothing in steady state.
   mutable std::string keyScratch_;

@@ -219,6 +219,64 @@ TEST_F(InvariantsTest, CopyPhysicalDetectsStaleCachedPeerIndex) {
   EXPECT_THROW(auditCopyPhysical(42, 3, 7), AuditFailure);
 }
 
+// --- auditTableResolution / auditRouteMemo ------------------------------
+
+TEST_F(InvariantsTest, TableResolutionDetectsLostAndPhantomEntries) {
+  const BitString label = BitString::fromString("0110");
+  int stored = 0;
+  int other = 0;
+  EXPECT_NO_THROW(auditTableResolution(label, &stored, &stored));
+  EXPECT_NO_THROW(auditTableResolution(label, nullptr, nullptr));
+  // A probe run broken by a bad deletion: the hashed lookup misses a
+  // stored bucket and would answer an authoritative NULL.
+  EXPECT_THROW(auditTableResolution(label, nullptr, &stored), AuditFailure);
+  EXPECT_THROW(auditTableResolution(label, &stored, nullptr), AuditFailure);
+  EXPECT_THROW(auditTableResolution(label, &other, &stored), AuditFailure);
+}
+
+TEST_F(InvariantsTest, RouteMemoThatSurvivesAFingerRebuildFailsTheAudit) {
+  // What a build that kept the route memo across rebuildFingers() would
+  // replay: routes memoized on the old ring, checked against the walk on
+  // the new one.  Some pair's route must change with the join, and the
+  // audit must reject the stale memo for it.
+  mlight::dht::Network net(16, 3);
+  const std::vector<mlight::dht::RingId> before = net.peers();
+  std::vector<mlight::dht::RouteResult> memoized;
+  for (const auto from : before) {
+    for (const auto owner : before) {
+      memoized.push_back(net.lookup(from, owner));  // fills the memo
+    }
+  }
+  net.addPeer("audit-joiner");
+  std::size_t stale = 0;
+  std::size_t i = 0;
+  for (const auto from : before) {
+    for (const auto owner : before) {
+      const mlight::dht::RouteResult& memo = memoized[i++];
+      const mlight::dht::RouteResult fresh = net.uncachedRoute(from, owner);
+      if (memo.hops == fresh.hops && memo.ms == fresh.ms) {
+        EXPECT_NO_THROW(auditRouteMemo(from.value, owner.value, memo.hops,
+                                       memo.ms, fresh.hops, fresh.ms));
+        continue;
+      }
+      ++stale;
+      EXPECT_THROW(auditRouteMemo(from.value, owner.value, memo.hops,
+                                  memo.ms, fresh.hops, fresh.ms),
+                   AuditFailure);
+    }
+  }
+  EXPECT_GT(stale, 0u);
+  // The real network dropped its memo at the join: at kParanoid every
+  // memo hit is re-walked, and none of them fails.
+  ScopedLevel paranoid(AuditLevel::kParanoid);
+  for (const auto from : before) {
+    for (const auto owner : before) {
+      EXPECT_NO_THROW(net.lookup(from, owner));
+      EXPECT_NO_THROW(net.lookup(from, owner));
+    }
+  }
+}
+
 // --- auditRingOrder ------------------------------------------------------
 
 TEST_F(InvariantsTest, RingOrderDetectsDisorderAndDuplicates) {

@@ -54,6 +54,23 @@ TEST(Sha1, UpdateSplitAtEveryOffsetMatches) {
   }
 }
 
+TEST(Sha1, OneBlockMatchesStreaming) {
+  // sha1() and sha1Prefix64() take a one-compression path up to 55 bytes
+  // and stream beyond; both must equal a byte-at-a-time streaming hash
+  // on either side of every padding boundary (55/56 and 63/64 included).
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::string msg(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) {
+      msg[i] = static_cast<char>((i * 131 + n * 7 + 1) & 0xff);
+    }
+    Sha1 streaming;
+    for (const char c : msg) streaming.update(std::string_view(&c, 1));
+    const Sha1Digest want = streaming.finish();
+    EXPECT_EQ(sha1(msg), want) << "n=" << n;
+    EXPECT_EQ(sha1Prefix64(msg), digestPrefix64(want)) << "n=" << n;
+  }
+}
+
 TEST(Sha1, BoundaryLengthsAroundBlockSize) {
   // Padding edge cases: 55/56/63/64/65 bytes exercise the length-field
   // placement paths.

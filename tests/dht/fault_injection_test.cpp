@@ -10,11 +10,15 @@
 
 #include "common/bitstring.h"
 #include "common/check.h"
+#include "common/digest.h"
 #include "common/serde.h"
 #include "dht/network.h"
 #include "dht/rpc.h"
 #include "dht/sim.h"
+#include "mlight/index.h"
 #include "store/distributed_store.h"
+#include "workload/datasets.h"
+#include "workload/queries.h"
 
 namespace mlight::dht {
 namespace {
@@ -34,6 +38,100 @@ TEST(SimScheduler, CancelDiscardsWithoutAdvancingClock) {
   // The cancelled event's timestamp must not pull the clock forward.
   EXPECT_DOUBLE_EQ(sched.now(), 5.0);
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+TEST(SimScheduler, CancelledEventFreesItsSlotForTheNextEvent) {
+  SimScheduler sched;
+  bool cancelledRan = false;
+  int reuserRuns = 0;
+  const std::uint64_t cancelled =
+      sched.schedule(100.0, [&] { cancelledRan = true; });
+  EXPECT_EQ(sched.slotCapacity(), 1u);
+  sched.cancel(cancelled);
+  EXPECT_EQ(sched.pending(), 0u);
+  // The freed slot serves the next event while the cancelled event's
+  // heap record is still queued; that record must neither run the new
+  // occupant a second time nor pull the clock to 100.
+  sched.schedule(5.0, [&] { ++reuserRuns; });
+  EXPECT_EQ(sched.slotCapacity(), 1u);
+  sched.cancel(cancelled);  // stale id: a no-op, not a cancel of the reuser
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run();
+  EXPECT_FALSE(cancelledRan);
+  EXPECT_EQ(reuserRuns, 1);
+  EXPECT_DOUBLE_EQ(sched.now(), 5.0);
+  EXPECT_EQ(sched.pending(), 0u);
+
+  // Cancelling an event that already ran leaves its slot's next
+  // occupant alone.
+  const std::uint64_t ran = sched.schedule(7.0, [] {});
+  sched.run();
+  int laterRuns = 0;
+  sched.schedule(9.0, [&] { ++laterRuns; });
+  sched.cancel(ran);
+  sched.run();
+  EXPECT_EQ(laterRuns, 1);
+  EXPECT_EQ(sched.slotCapacity(), 1u);
+}
+
+/// A faulty m-LIGHT workload (5% loss, jitter, R = 2, a crash and a
+/// rejoin mid-stream) fingerprinted order-sensitively: every delivery in
+/// execution order, then the index and network state digests.
+std::uint64_t faultyWorkloadFingerprint(Network& net) {
+  FaultModel faults;
+  faults.enabled = true;
+  faults.lossProbability = 0.05;
+  faults.jitterMs = 4.0;
+  faults.maxAttempts = 6;
+  faults.seed = 4242;
+  net.setFaultModel(faults);
+  // The timeline fingerprint is order-sensitive: pin FIFO ties even
+  // when MLIGHT_SCHED_SHUFFLE_SEED perturbs the rest of the suite.
+  net.setScheduleShuffleSeed(0);
+  mlight::common::Digest fp;
+  net.setRpcTrace([&fp](const RpcDelivery& d) {
+    fp.feed(d.env.id);
+    fp.feed(static_cast<std::uint64_t>(d.env.kind));
+    fp.feed(d.env.from.value);
+    fp.feed(d.env.to.value);
+    fp.feed(d.env.round);
+    fp.feed(d.env.payload.size());
+    fp.feed(d.sentAt);
+    fp.feed(d.deliveredAt);
+  });
+  mlight::core::MLightConfig config;
+  config.thetaSplit = 8;
+  config.thetaMerge = 4;
+  config.replication = 2;
+  config.cache.enabled = false;
+  mlight::core::MLightIndex index(net, config);
+  const auto data = mlight::workload::uniformDataset(400, 2, 77);
+  const auto queries =
+      mlight::workload::uniformRangeQueries(4, 2, 0.2, 78);
+  for (std::size_t i = 0; i < 200; ++i) index.insert(data[i]);
+  const RingId victim = net.peers()[5];
+  const std::string victimName = net.physicalNameOf(victim);
+  net.crashPeer(victim);
+  for (std::size_t i = 200; i < data.size(); ++i) index.insert(data[i]);
+  net.addPeer(victimName);
+  for (const auto& q : queries) fp.feed(index.rangeQuery(q).records.size());
+  net.setRpcTrace({});
+  fp.feed(index.stateDigest());
+  net.digestState(fp);
+  return fp.value();
+}
+
+TEST(FaultInjection, CancelledTimeoutsFreeSlotsAndTheReplayDigestHolds) {
+  // Every attempt that arrives cancels its timeout, so a faulty run
+  // frees slots both ways and later events keep reusing them: the slot
+  // table stays at the peak number of pending events.  The fingerprint
+  // was taken from the scheduler before slot tables (heap events that
+  // carried their own closures) and must not move.
+  Network net(24, 11);
+  EXPECT_EQ(faultyWorkloadFingerprint(net), 0xc4a984302be6ab59ull);
+  EXPECT_GT(net.totalCost().retries, 0u);  // losses and timeouts fired
+  EXPECT_EQ(net.pendingEvents(), 0u);
+  EXPECT_LT(net.simSlotCapacity() * 20, net.totalCost().messages);
 }
 
 TEST(FaultSeed, ReadsEnvironmentWithFallback) {

@@ -85,8 +85,9 @@ TEST(VirtualNodes, SmoothKeyDistribution) {
   auto relVariance = [](Network& net) {
     std::map<std::size_t, int> load;
     for (int i = 0; i < 30000; ++i) {
-      load[net.physicalOf(
-          net.responsibleForKey("k" + std::to_string(i)))]++;
+      std::string key = "k";
+      key += std::to_string(i);
+      load[net.physicalOf(net.responsibleForKey(key))]++;
     }
     double sum = 0.0;
     double sq = 0.0;

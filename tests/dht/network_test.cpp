@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -154,7 +156,8 @@ TEST(Network, AddPeerChangesResponsibility) {
   Network net(8);
   std::map<std::string, RingId> before;
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     before[key] = net.responsibleForKey(key);
   }
   const RingId added = net.addPeer("joiner:1");
@@ -197,6 +200,44 @@ TEST(Network, PhysicalOfDepartedVnodeThrows) {
   ASSERT_TRUE(net.crashPeer(victim));
   EXPECT_THROW(net.physicalOf(victim), mlight::common::CheckFailure);
   EXPECT_THROW(net.physicalNameOf(victim), mlight::common::CheckFailure);
+}
+
+/// Looks up every ring position from every ring position, twice (memo
+/// fill, then memo hit), and checks each against the uncached finger
+/// walk.  Returns the number of pairs checked.
+std::size_t expectMemoMatchesUncached(Network& net, const char* phase) {
+  const std::vector<RingId> vnodes = net.peers();
+  for (const RingId from : vnodes) {
+    for (const RingId owner : vnodes) {
+      const RouteResult want = net.uncachedRoute(from, owner);
+      for (int pass = 0; pass < 2; ++pass) {
+        const RouteResult got = net.lookup(from, owner);
+        EXPECT_EQ(got.owner, owner) << phase;
+        EXPECT_EQ(got.hops, want.hops) << phase << " pass " << pass;
+        EXPECT_EQ(got.ms, want.ms) << phase << " pass " << pass;
+      }
+    }
+  }
+  return vnodes.size() * vnodes.size();
+}
+
+TEST(Network, RouteMemoMatchesUncachedAfterChurn) {
+  // Every membership change rebuilds the fingers and must drop the
+  // route memo: each phase below starts with the memo warm from the
+  // previous one, so a memo that survived a change would replay a route
+  // over fingers that no longer exist.
+  Network net(12, 5, /*vnodesPerPeer=*/3);
+  EXPECT_EQ(expectMemoMatchesUncached(net, "initial"), 36u * 36u);
+  net.addPeer("joiner");
+  EXPECT_EQ(expectMemoMatchesUncached(net, "join"), 39u * 39u);
+  ASSERT_TRUE(net.removePeer(net.peers()[4]));
+  EXPECT_EQ(expectMemoMatchesUncached(net, "graceful leave"), 36u * 36u);
+  const RingId victim = net.peers()[9];
+  const std::string victimName = net.physicalNameOf(victim);
+  ASSERT_TRUE(net.crashPeer(victim));
+  EXPECT_EQ(expectMemoMatchesUncached(net, "crash"), 33u * 33u);
+  net.addPeer(victimName);
+  EXPECT_EQ(expectMemoMatchesUncached(net, "rejoin"), 36u * 36u);
 }
 
 TEST(Network, RebalanceCallbackFiresOnMembershipChange) {

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <unordered_map>
 
+#include "common/flat_label_map.h"
+
 class AllowedIteration {
  public:
   std::size_t keySum() const {
@@ -12,6 +14,14 @@ class AllowedIteration {
     return sum;
   }
 
+  std::size_t labelBits() const {
+    std::size_t bits = 0;
+    // DET-ALLOW(commutative integer sum; order cannot affect the result)
+    for (const auto& [label, value] : labels_) bits += label.size();
+    return bits;
+  }
+
  private:
   std::unordered_map<std::size_t, int> entries_;
+  mlight::common::FlatLabelMap<int> labels_;
 };

@@ -140,7 +140,9 @@ TEST(Lht, OneDimensionalRangeQueries) {
   for (std::uint64_t i = 0; i < 300; ++i) {
     const double k = rng.uniform();
     keys.push_back(k);
-    index.insert({k, "v" + std::to_string(i), i});
+    std::string payload = "v";
+    payload += std::to_string(i);
+    index.insert({k, std::move(payload), i});
   }
   index.checkInvariants();
   for (int trial = 0; trial < 25; ++trial) {

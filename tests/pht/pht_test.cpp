@@ -23,7 +23,8 @@ Record rec(double x, double y, std::uint64_t id) {
   Record r;
   r.key = Point{x, y};
   r.id = id;
-  r.payload = "p" + std::to_string(id);
+  r.payload = "p";
+  r.payload += std::to_string(id);
   return r;
 }
 

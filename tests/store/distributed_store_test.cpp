@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bitstring.h"
 #include "common/serde.h"
 #include "dht/network.h"
@@ -193,6 +196,95 @@ TEST(DistributedStore, DestructionUnregistersFromNetwork) {
   // Must not crash touching a dead store's rebalance callback.
   net.addPeer("after-destruction");
   SUCCEED();
+}
+
+/// The naming function spelled out independently of the store: the
+/// namespace, the label's bits as '0'/'1', and "#r<salt>" for replica
+/// salts, hashed onto the ring.
+mlight::dht::RingId namedRingKey(const std::string& ns,
+                                 const BitString& label, std::size_t salt) {
+  std::string key = ns;
+  key += label.toString();
+  if (salt != 0) {
+    key += "#r";
+    key += std::to_string(salt);
+  }
+  return mlight::dht::keyId(key);
+}
+
+BitString counterLabel(std::size_t value, std::size_t bits) {
+  BitString label;
+  for (std::size_t i = bits; i-- > 0;) label.pushBack(((value >> i) & 1) != 0);
+  return label;
+}
+
+TEST(DistributedStore, RingKeyMemoIsExactThroughGrowthCapAndReplicaSalts) {
+  Network net(8);
+  DistributedStore<FakeBucket> store(net, "memo/");
+  constexpr std::size_t kCap = DistributedStore<FakeBucket>::kRingKeyCacheCap;
+  // Growth: the memo rehashes many times on the way to the cap; replica
+  // salts are asked out of order on a sample, and every answer is
+  // checked twice (miss, then hit).
+  for (std::size_t i = 0; i < kCap; ++i) {
+    const BitString label = counterLabel(i, 18);
+    ASSERT_EQ(store.ringKey(label), namedRingKey("memo/", label, 0)) << i;
+    if (i % 997 == 0) {
+      for (const std::size_t salt : {3u, 1u, 7u, 2u}) {
+        ASSERT_EQ(store.ringKey(label, salt),
+                  namedRingKey("memo/", label, salt));
+      }
+    }
+  }
+  EXPECT_EQ(store.ringKeyCacheSize(), kCap);
+  for (std::size_t i = 0; i < kCap; i += 311) {
+    const BitString label = counterLabel(i, 18);
+    ASSERT_EQ(store.ringKey(label), namedRingKey("memo/", label, 0));
+    ASSERT_EQ(store.ringKey(label, 4), namedRingKey("memo/", label, 4));
+  }
+  // Past the cap new labels are computed, not memoized — still exact.
+  for (std::size_t i = 0; i < 200; ++i) {
+    const BitString label = counterLabel(i, 19).withBack(true);
+    ASSERT_EQ(store.ringKey(label, i % 3), namedRingKey("memo/", label, i % 3));
+  }
+  EXPECT_EQ(store.ringKeyCacheSize(), kCap);
+}
+
+TEST(DistributedStore, RingKeyMemoEvictsMournedLabelsAndRecyclesTheirSalts) {
+  Network net(8);
+  DistributedStore<FakeBucket> store(net, "evict/");  // R = 1: crashes lose
+  std::vector<BitString> labels;
+  for (std::size_t i = 0; i < 96; ++i) {
+    labels.push_back(counterLabel(i, 7));
+    store.placeLocal(labels.back(), FakeBucket{static_cast<int>(i)});
+    // Memoize replica salts too, so eviction has runs to recycle.
+    ASSERT_EQ(store.ringKey(labels.back(), 3),
+              namedRingKey("evict/", labels.back(), 3));
+  }
+  ASSERT_EQ(store.ringKeyCacheSize(), labels.size());
+
+  ASSERT_TRUE(net.crashPeer(store.ownerOf(labels[0])));
+  std::size_t mourned = 0;
+  for (const BitString& label : labels) mourned += store.isMourned(label);
+  ASSERT_GT(mourned, 0u);
+  EXPECT_EQ(store.ringKeyCacheSize(), labels.size() - mourned);
+
+  // New labels pick up the recycled replica runs: no salt of an evicted
+  // label may leak into them.
+  for (std::size_t i = 0; i < 64; ++i) {
+    const BitString label = counterLabel(i, 9);
+    for (const std::size_t salt : {2u, 1u, 5u}) {
+      ASSERT_EQ(store.ringKey(label, salt),
+                namedRingKey("evict/", label, salt));
+    }
+  }
+  // Mourned and surviving labels alike still answer exactly.
+  for (const BitString& label : labels) {
+    for (std::size_t salt = 0; salt <= 4; ++salt) {
+      ASSERT_EQ(store.ringKey(label, salt),
+                namedRingKey("evict/", label, salt));
+    }
+  }
+  EXPECT_EQ(store.ringKeyCacheSize(), labels.size() + 64);
 }
 
 }  // namespace
